@@ -8,7 +8,18 @@ from typing import Optional
 from repro.crypto.costmodel import CryptoCostModel
 from repro.protocols.pbft.engine import InstanceConfig
 
-__all__ = ["RBFTConfig"]
+__all__ = ["RBFTConfig", "machine_cores"]
+
+
+def machine_cores(f: int) -> int:
+    """Cores per machine for an RBFT deployment tolerating ``f`` faults.
+
+    RBFT pins 4 module cores plus one core per ordering instance (f+1);
+    beyond f = 3 the paper's 8-core box cannot hold them, so large-n
+    machines scale their core count with f.  ``max()`` keeps f ≤ 3 at
+    exactly 8 cores — seeded small-n runs stay byte-identical.
+    """
+    return max(8, 4 + f + 1)
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,21 @@ from repro.crypto.primitives import Mac, MacAuthenticator
 from repro.net.message import Message
 from repro.protocols.base import ClientRequestMsg, ReplyMsg
 from repro.protocols.pbft.engine import OrderingInstance
-from repro.protocols.pbft.messages import OrderingMessage
+from repro.protocols.pbft.messages import (
+    Checkpoint,
+    Commit,
+    OrderingMessage,
+    Prepare,
+)
 
 from .config import RBFTConfig
 from .messages import FloodMsg, InstanceBatchMsg, InstanceChangeMsg, PropagateMsg
 from .monitoring import InstanceMonitor
+
+#: fixed-size ordering certificates: received at the engine's flat
+#: ``cert_rx_cost`` (PRE-PREPAREs and view-change messages are priced
+#: by size, through ``OrderingInstance.receive``).
+_CERTIFICATES = frozenset((Prepare, Commit, Checkpoint))
 
 __all__ = ["RBFTNode", "InstanceTransport", "BatchingInstanceTransport"]
 
@@ -211,7 +221,6 @@ class RBFTNode:
         self._exec_reply_cost = self.costs.mac_gen(MESSAGE_HEADER_SIZE)
         self._routes: Dict[type, Callable[[Message], None]] = {
             ClientRequestMsg: self._route_request,
-            PropagateMsg: self._route_propagate,
             InstanceChangeMsg: self._route_instance_change,
             InstanceBatchMsg: self._route_instance_batch,
             FloodMsg: self._route_flood,
@@ -244,8 +253,28 @@ class RBFTNode:
 
     # ----------------------------------------------------------------- routing
     def on_network_message(self, msg: Message) -> None:
+        cls = msg.__class__
+        # The two hottest routes reach their core from this frame: a
+        # PROPAGATE (n - 1 per request per node) and a fixed-size ordering
+        # certificate (``OrderingInstance.receive`` inlined).
+        if cls is PropagateMsg:
+            # The MAC covers the request digest, so the Propagation module
+            # only checks the small header here.  For a first-sight
+            # request the full payload is hashed exactly once — on the
+            # Verification core, inside the signature check.
+            self.propagation_core.submit(
+                self._propagate_rx_cost, self._on_propagate, msg
+            )
+            return
+        if cls in _CERTIFICATES:
+            engines = self.engines
+            instance = msg.instance
+            if 0 <= instance < len(engines):
+                engine = engines[instance]
+                engine.core.submit(engine.cert_rx_cost, engine.dispatch, msg)
+            return
         routes = self._routes
-        handler = routes.get(msg.__class__)
+        handler = routes.get(cls)
         if handler is None:
             # First sight of this exact class: resolve it (isinstance
             # handles subclasses and the many OrderingMessage leaves) and
@@ -254,26 +283,17 @@ class RBFTNode:
                 handler = self._route_ordering
             elif isinstance(msg, ClientRequestMsg):
                 handler = self._route_request
-            elif isinstance(msg, PropagateMsg):
-                handler = self._route_propagate
             elif isinstance(msg, InstanceChangeMsg):
                 handler = self._route_instance_change
             elif isinstance(msg, FloodMsg):
                 handler = self._route_flood
             else:
                 handler = self._route_ignore
-            routes[msg.__class__] = handler
+            routes[cls] = handler
         handler(msg)
 
     def _route_request(self, msg: Message) -> None:
         self._receive_request(msg.request)
-
-    def _route_propagate(self, msg: Message) -> None:
-        # The MAC covers the request digest, so the Propagation module
-        # only checks the small header here.  For a first-sight request
-        # the full payload is hashed exactly once — on the Verification
-        # core, inside the signature check (the same hash serves both).
-        self.propagation_core.submit(self._propagate_rx_cost, self._on_propagate, msg)
 
     def _route_ordering(self, msg: Message) -> None:
         if 0 <= msg.instance < len(self.engines):
@@ -404,7 +424,7 @@ class RBFTNode:
                 stage="propagation", client=request.client,
             )
         if self.propagate_silent:
-            self._register_propagate(request_id, self.name)
+            self._count_own_propagate(request_id)
         else:
             # TCP point-to-point PROPAGATEs: one MAC pass per recipient.
             msg = PropagateMsg(self.name, request, self._auth)
@@ -421,16 +441,33 @@ class RBFTNode:
 
     def _emit_propagate(self, msg: PropagateMsg) -> None:
         self.machine.broadcast_to_nodes(msg)
-        self._register_propagate(msg.request.request_id, self.name)
+        self._count_own_propagate(msg.request.request_id)
+
+    def _count_own_propagate(self, request_id) -> None:
+        # This node's own PROPAGATE is one of the f+1 votes.  Executed
+        # implies the quorum completed and was garbage-collected (or is
+        # about to be); a late vote must not seed a fresh quorum that
+        # could re-dispatch the request.
+        if request_id in self.executed_ids:
+            return
+        if self._propagate_votes.add(request_id, self.name):
+            self._maybe_dispatch(request_id)
 
     def _on_propagate(self, msg: PropagateMsg) -> None:
-        if not msg.authenticator.valid_for(self.name):
+        auth = msg.authenticator
+        # ``valid_for`` short-circuited for the interned valid authenticator.
+        if auth.invalid_for is not None and not auth.valid_for(self.name):
             self._note_invalid(msg.sender)
             return
         request = msg.request
         request_id = request.request_id
-        self._register_propagate(request_id, msg.sender)
-        if request_id in self._propagated or request_id in self.executed_ids:
+        # A straggling PROPAGATE for an executed request neither votes
+        # (see ``_count_own_propagate``) nor starts a signature check.
+        if request_id in self.executed_ids:
+            return
+        if self._propagate_votes.add(request_id, msg.sender):
+            self._maybe_dispatch(request_id)
+        if request_id in self._propagated:
             return
         # First sight of this request: the Verification module checks the
         # client signature before this node echoes the PROPAGATE (§IV-B
@@ -447,15 +484,6 @@ class RBFTNode:
         if not request.signature.valid:
             return
         self._start_propagation(request)
-
-    def _register_propagate(self, request_id, sender: str) -> None:
-        # Executed implies the quorum completed and was garbage-collected
-        # (or is about to be); a straggling PROPAGATE must not seed a
-        # fresh quorum that could re-dispatch the request.
-        if request_id in self.executed_ids:
-            return
-        if self._propagate_votes.add(request_id, sender):
-            self._maybe_dispatch(request_id)
 
     def _maybe_dispatch(self, request_id) -> None:
         """Dispatch once f+1 PROPAGATEs *and* the request body are in."""

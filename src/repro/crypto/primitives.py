@@ -14,22 +14,52 @@ valid.  Verification in protocol code is then two separate things —
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, FrozenSet, Hashable, Optional
 
 __all__ = ["Digest", "Mac", "MacAuthenticator", "Signature"]
 
 
-@dataclass(frozen=True)
 class Digest:
     """A collision-resistant digest, modelled structurally.
 
     Two digests are equal iff they were computed over the same token; the
     Byzantine model forbids forging collisions (§II), so structural
     equality is faithful.
+
+    Immutable, with its hash computed once: a batch digest's token embeds
+    every request id of the batch, and quorum trackers hash a
+    ``(view, seq, digest)`` key per vote.  The stored value is
+    ``hash((token,))`` — exactly what the frozen dataclass this class
+    replaced returned — so set and dict iteration order is unchanged.
     """
 
-    token: Hashable
+    __slots__ = ("token", "_hash")
+
+    def __init__(self, token: Hashable):
+        object.__setattr__(self, "token", token)
+        object.__setattr__(self, "_hash", hash((token,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.token == other.token
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        # Rebuild through __init__: the hash of a str token differs
+        # between interpreter processes, so it is never pickled.
+        return (self.__class__, (self.token,))
 
     def __repr__(self) -> str:
         return "Digest(%r)" % (self.token,)

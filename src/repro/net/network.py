@@ -128,13 +128,30 @@ class Channel:
         if hook is not None:
             hook(self, msg)
             return
-        size = msg.wire_size()
-        self._deliver_from(msg, self.src_nic.reserve_tx(size), size)
+        self.send_direct(msg)
 
     def send_direct(self, msg: Message) -> None:
-        """Transmit bypassing the intercept hook (the hook's exit path)."""
+        """Transmit bypassing the intercept hook (the hook's exit path).
+
+        Untraced, this takes the fan-out's path: ``reserve_tx`` inlined
+        and delivery through ``_deliver_untraced`` (same arithmetic, same
+        RNG draw order, same counters as ``_deliver_from``).
+        """
         size = msg.wire_size()
-        self._deliver_from(msg, self.src_nic.reserve_tx(size), size)
+        sim = self._sim
+        tracer = sim.tracer
+        if tracer is not None and tracer.enabled:
+            self._deliver_from(msg, self.src_nic.reserve_tx(size), size)
+            return
+        nic = self.src_nic
+        now = sim.now
+        free = nic.tx_free_at
+        start = now if now > free else free
+        tx_done = start + size / nic.bandwidth
+        nic.tx_free_at = tx_done
+        nic.bytes_tx += size
+        nic.msgs_tx += 1
+        self._deliver_untraced(msg, tx_done, size)
 
     def _deliver_from(self, msg: Message, tx_done: float, size: int) -> None:
         """Propagate a message whose transmission completes at ``tx_done``."""
@@ -214,11 +231,11 @@ class Channel:
     def _deliver_untraced(self, msg: Message, tx_done: float, size: int) -> None:
         """``_deliver_from`` specialised for the untraced case.
 
-        :meth:`Network.broadcast`/:meth:`Network.multicast` hoist the
-        tracer check once per fan-out and route every channel of an
-        untraced batch here: same arithmetic, same RNG draw order, same
-        NIC accounting as ``_deliver_from``, with the per-message tracer
-        lookups and emit branches removed.
+        Untraced sends, multicasts and the UDP/WAN-bandwidth channels of
+        a broadcast (which inlines the TCP LAN case) deliver here: same
+        arithmetic, same RNG draw order, same NIC accounting as
+        ``_deliver_from``, with the per-message tracer lookups and emit
+        branches removed.
         """
         sim = self._sim
         arrival = tx_done + self._latency
@@ -322,12 +339,15 @@ class Network:
         function of the message — is computed once for the whole batch.
         Channels carrying a fault-injection intercept hand the message
         to their hook, exactly as ``send`` would.  The tracer check is
-        hoisted once per fan-out: the untraced batch inlines the
-        ``reserve_tx`` arithmetic per channel (same accounting, same RNG
-        draw order) and delivers through ``_deliver_untraced``.
+        hoisted once per fan-out.  Untraced, the loop body does each
+        recipient's ``reserve_tx`` and, for a TCP channel without a
+        bottleneck link, its whole delivery inline: the arithmetic, the
+        RNG draws (one jitter draw per channel, in channel order) and the
+        NIC/channel counters are those of ``_deliver_untraced``, which
+        UDP and WAN-bandwidth channels still go through.
         """
         size = None
-        tracing = sim = None
+        tracing = sim = now = heap = None
         for channel in channels:
             hook = channel.intercept
             if hook is not None:
@@ -336,19 +356,42 @@ class Network:
             if size is None:
                 size = msg.wire_size()
                 sim = channel._sim
+                now = sim.now
+                heap = sim._heap
                 tracer = sim.tracer
                 tracing = tracer is not None and tracer.enabled
             if tracing:
                 channel._deliver_from(msg, channel.src_nic.reserve_tx(size), size)
-            else:
-                # reserve_tx inlined (sans trace emit): one call frame
-                # less per channel of the fan-out.
-                nic = channel.src_nic
-                now = sim.now
-                free = nic.tx_free_at
-                start = now if now > free else free
-                tx_done = start + size / nic.bandwidth
-                nic.tx_free_at = tx_done
-                nic.bytes_tx += size
-                nic.msgs_tx += 1
+                continue
+            nic = channel.src_nic
+            free = nic.tx_free_at
+            start = now if now > free else free
+            tx_done = start + size / nic.bandwidth
+            nic.tx_free_at = tx_done
+            nic.bytes_tx += size
+            nic.msgs_tx += 1
+            if not channel.tcp or channel._bandwidth:
                 channel._deliver_untraced(msg, tx_done, size)
+                continue
+            arrival = tx_done + channel._latency
+            jitter = channel._jitter
+            if jitter > 0:
+                arrival += channel._rng.random() * jitter
+            arrival += channel._tcp_overhead
+            dst_nic = channel.dst_nic
+            if arrival < dst_nic.closed_until:
+                dst_nic.dropped_while_closed += 1
+                channel.dropped += 1
+                continue
+            rx_free = dst_nic.rx_free_at
+            start = arrival if arrival > rx_free else rx_free
+            deliver_at = start + size / dst_nic.bandwidth
+            dst_nic.rx_free_at = deliver_at
+            dst_nic.bytes_rx += size
+            dst_nic.msgs_rx += 1
+            if deliver_at < channel._last_delivery:
+                deliver_at = channel._last_delivery  # FIFO guarantee
+            channel._last_delivery = deliver_at
+            channel.delivered += 1
+            sim._seq = seq = sim._seq + 1
+            heappush(heap, (deliver_at, seq, channel.handler, (msg,)))

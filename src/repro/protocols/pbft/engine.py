@@ -185,13 +185,17 @@ class OrderingInstance:
         # per-size results are memoised below.
         self._auth = MacAuthenticator.for_signer(replica)
         self._cert_send_cost = costs.authenticator_gen(DIGEST_SIZE, config.n - 1)
-        self._small_rx_cost = (
+        #: CPU cost of receiving one PREPARE, COMMIT or CHECKPOINT (fixed
+        #: digest-size payloads); the RBFT node charges it directly.
+        self.cert_rx_cost = (
             costs.authenticator_verify(DIGEST_SIZE) + config.rx_overhead
         )
         self._preprepare_rx_costs: Dict[int, float] = {}
         self._batch_send_costs: Dict[int, float] = {}
         self._primary_cache_view = -1
         self._primary_cache = False
+        self._primary_name_view = -1
+        self._primary_name = ""
         self._dispatch_handlers = {
             PrePrepare: self._on_preprepare,
             Prepare: self._on_prepare,
@@ -209,7 +213,18 @@ class OrderingInstance:
         return (view + self.primary_offset) % self.config.n
 
     def primary_name(self, view: Optional[int] = None) -> str:
-        return "node%d" % self.primary_index(view)
+        # Every PREPARE asks for the current view's primary, so the
+        # round-robin name is cached per view (as ``is_primary`` is); a
+        # custom selector may change its answer at run time, so never.
+        view = self.view if view is None else view
+        if self.primary_selector is not None:
+            return "node%d" % self.primary_selector(view)
+        if view != self._primary_name_view:
+            self._primary_name_view = view
+            self._primary_name = "node%d" % (
+                (view + self.primary_offset) % self.config.n
+            )
+        return self._primary_name
 
     @property
     def is_primary(self) -> bool:
@@ -341,8 +356,8 @@ class OrderingInstance:
             cost = self.costs.sig_verify(msg.wire_size()) + self.config.rx_overhead
         else:
             # Prepare / Commit / Checkpoint: fixed-size digest payloads.
-            cost = self._small_rx_cost
-        self.core.submit(cost, self._dispatch, msg)
+            cost = self.cert_rx_cost
+        self.core.submit(cost, self.dispatch, msg)
 
     def batch_rx_cost(self, messages: List[OrderingMessage]) -> float:
         """CPU cost of receiving a coalesced certificate run.
@@ -365,14 +380,19 @@ class OrderingInstance:
         """Handle a coalesced run; the caller has charged the CPU cost.
 
         Per-message protocol semantics are unchanged: each inner message
-        still goes through :meth:`_dispatch` with its own authenticator
+        still goes through :meth:`dispatch` with its own authenticator
         check.
         """
+        dispatch = self.dispatch
         for msg in messages:
-            self._dispatch(msg)
+            dispatch(msg)
 
-    def _dispatch(self, msg: OrderingMessage) -> None:
-        if not msg.authenticator.valid_for(self.replica):
+    def dispatch(self, msg: OrderingMessage) -> None:
+        """Handle one message whose receive cost has been charged."""
+        auth = msg.authenticator
+        # ``valid_for`` short-circuited: the interned valid-for-everyone
+        # authenticator (``invalid_for is None``) signs nearly every message.
+        if auth.invalid_for is not None and not auth.valid_for(self.replica):
             if self.on_invalid is not None:
                 self.on_invalid(msg.sender)
             return  # verification failed: the CPU cost is already paid
@@ -408,7 +428,7 @@ class OrderingInstance:
             return
         self._future = [m for m in self._future if m.view > self.view]
         for msg in ready:
-            self._dispatch(msg)
+            self.dispatch(msg)
 
     # --------------------------------------------------------- pre-prepare
     def _on_preprepare(self, msg: PrePrepare) -> None:

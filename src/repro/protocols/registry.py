@@ -114,6 +114,7 @@ def _populate() -> None:
     if _REGISTRY:
         return
     from repro.core import RBFTConfig, RBFTNode
+    from repro.core.config import machine_cores
     from repro.protocols.aardvark import AardvarkConfig, AardvarkNode
     from repro.protocols.base import BftNode, NodeConfig
     from repro.protocols.pbft.engine import InstanceConfig
@@ -126,12 +127,7 @@ def _populate() -> None:
                 f=f,
                 monitoring_period=scale.monitoring_period,
                 order_full_requests=full_order,
-                # RBFT pins 4 module cores plus one core per ordering
-                # instance (f+1); beyond f = 3 the paper's 8-core box
-                # cannot hold them, so large-n machines scale their core
-                # count with f.  max() keeps f ≤ 3 at exactly 8 cores —
-                # seeded small-n runs stay byte-identical.
-                cores_per_machine=max(8, 4 + f + 1),
+                cores_per_machine=machine_cores(f),
             )
             # Each ordering round costs Θ(n²) certificate messages *per
             # instance*; at n in the hundreds, millisecond-paced rounds

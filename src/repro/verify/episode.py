@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.clients import LoadGenerator, build_profile
 from repro.core import RBFTConfig
+from repro.core.config import machine_cores
 from repro.protocols import registry as protocol_registry
 
 from .invariants import InvariantSuite
@@ -169,6 +170,7 @@ def run_episode(
         min_monitor_requests=spec.min_monitor_requests,
         flood_threshold=spec.flood_threshold,
         order_full_requests=(spec.protocol == "rbft-full-order"),
+        cores_per_machine=machine_cores(spec.f),
     )
     variant = protocol_registry.get(spec.protocol)
     build_kwargs = dict(variant.build_kwargs)

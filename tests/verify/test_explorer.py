@@ -75,6 +75,17 @@ def test_fault_free_episode_is_clean_and_replays_identically():
     assert first.sent == second.sent and first.completed == second.completed
 
 
+def test_batched_tier_episode_runs_clean():
+    # f = 4 needs 9 cores per machine and runs the batched tier
+    # (cross-instance certificate envelopes); episodes size machines
+    # exactly as the protocol registry does.
+    spec = EpisodeSpec(seed=0, f=4, duration=0.2, drain=0.2, rate=200.0)
+    result = run_episode(spec)
+    assert result.ok, result.violations
+    assert result.sent > 0 and result.completed == result.sent
+    assert result.events_seen > 0
+
+
 def test_replay_artifact_round_trips(tmp_path):
     result = run_episode(EpisodeSpec(seed=9, **SHORT))
     path = write_episode(result, str(tmp_path / "episode.json"))
